@@ -340,10 +340,11 @@ impl Experiment {
     /// them inline: all cell sessions are opened up front, fed in
     /// interleaved batches, and closed in declared order, exercising
     /// the serving path end to end. Because every served stream runs
-    /// on a private (recycled) predictor, cell statistics and
-    /// telemetry are byte-identical to a non-serve run; only
-    /// [`CellResult::predictor`] becomes [`None`] (the pool keeps its
-    /// predictors for reuse). Factory entries still run inline.
+    /// on a private predictor, cell statistics and telemetry are
+    /// byte-identical to a non-serve run; only
+    /// [`CellResult::predictor`] becomes [`None`] (the pool drops a
+    /// stream's predictor when it closes). Factory entries still run
+    /// inline.
     pub fn serve(mut self, shards: usize) -> Self {
         self.serve = Some(shards.max(1));
         self

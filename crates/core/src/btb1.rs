@@ -51,7 +51,7 @@
 
 use crate::btb::BtbEntry;
 use crate::config::Btb1Config;
-use crate::util::{index_of, lru_fresh_ranks, lru_touch, lru_victim, tag_of};
+use crate::util::{index_of, lru_fresh_table, lru_touch, lru_victim, tag_of};
 use zbp_zarch::InstrAddr;
 
 /// Outcome of an install attempt.
@@ -110,7 +110,7 @@ impl Btb1 {
         Btb1 {
             keys: vec![0; slots],
             entries: vec![None; slots],
-            lru: (0..cfg.rows).flat_map(|_| lru_fresh_ranks(cfg.ways)).collect(),
+            lru: lru_fresh_table(cfg.rows, cfg.ways),
             line_bytes: cfg.search_bytes,
             line_shift: cfg.search_bytes.trailing_zeros(),
             tag_bits: cfg.tag_bits,

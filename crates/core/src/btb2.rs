@@ -42,7 +42,7 @@
 
 use crate::btb::BtbEntry;
 use crate::config::{Btb2Config, InclusionPolicy};
-use crate::util::{index_of, lru_fresh_ranks, lru_touch, lru_victim};
+use crate::util::{index_of, lru_fresh_table, lru_touch, lru_victim};
 use std::collections::VecDeque;
 use zbp_zarch::InstrAddr;
 
@@ -78,18 +78,30 @@ pub struct Btb2Stats {
     pub exclusive_invalidates: u64,
 }
 
+/// Rows per storage block: the unit in which row storage is allocated.
+const BLOCK_ROWS: usize = 4;
+
+/// Block-table value of a block whose rows were never written.
+const UNALLOCATED: u32 = u32::MAX;
+
 /// The BTB2 structure plus its staging queue toward the BTB1.
 ///
-/// Row storage is struct-of-arrays like the BTB1's: one flat entry
-/// array (slot = row × ways + way) and one flat LRU byte array, so a
-/// backing-store sweep over [`Btb2Config::search_lines`] consecutive
-/// lines walks contiguous memory instead of chasing a heap `Vec` per
-/// row.
+/// Row storage is paged: rows are grouped into blocks of four, and a
+/// block gets storage (its entry slots and fresh LRU ranks) the first
+/// time [`fill`](Btb2::fill) or [`refresh`](Btb2::refresh) writes one
+/// of its rows. A block table maps each block to its place in a dense
+/// arena: one entry array (slot = (arena block × 4 + row in block) ×
+/// ways + way) and one LRU byte array. A row whose block has no
+/// storage reads as empty, exactly like a written-but-empty row, so a
+/// session only pays for the part of the 128K-entry backing store its
+/// footprint reaches.
 #[derive(Debug, Clone)]
 pub struct Btb2 {
-    /// Entry payload per slot; slot = row × ways + way.
+    /// Arena block per block of `BLOCK_ROWS` rows, or `UNALLOCATED`.
+    blocks: Vec<u32>,
+    /// Entry payload per arena slot, blocks in allocation order.
     entries: Vec<Option<BtbEntry>>,
-    /// LRU age per slot (0 = MRU within its row).
+    /// LRU age per arena slot (0 = MRU within its row).
     lru: Vec<u8>,
     nrows: usize,
     cfg: Btb2Config,
@@ -110,12 +122,16 @@ pub struct Btb2 {
 
 impl Btb2 {
     /// Builds an empty BTB2. `line_bytes` is the BTB1 line granularity
-    /// (entries keep their BTB1-format tags/offsets on transfer).
+    /// (entries keep their BTB1-format tags/offsets on transfer). No row
+    /// storage is allocated until the first write.
     pub fn new(cfg: &Btb2Config, line_bytes: u64) -> Self {
         assert!(line_bytes.is_power_of_two(), "line granularity must be a power of two");
+        let nblocks = cfg.rows.div_ceil(BLOCK_ROWS);
+        assert!(nblocks < UNALLOCATED as usize, "BTB2 too large for its block table");
         Btb2 {
-            entries: vec![None; cfg.rows * cfg.ways],
-            lru: (0..cfg.rows).flat_map(|_| lru_fresh_ranks(cfg.ways)).collect(),
+            blocks: vec![UNALLOCATED; nblocks],
+            entries: Vec::new(),
+            lru: Vec::new(),
             nrows: cfg.rows,
             cfg: cfg.clone(),
             line_bytes,
@@ -139,9 +155,36 @@ impl Btb2 {
         self.entries.iter().flatten().count()
     }
 
+    /// Rows backed by storage: every row of each block written so far
+    /// (verification and memory accounting; a fresh BTB2 has none).
+    pub fn allocated_rows(&self) -> usize {
+        self.lru.len() / self.cfg.ways
+    }
+
     fn row_index(&self, addr: InstrAddr) -> usize {
         let line = addr.raw() & !(self.line_bytes - 1);
         index_of(line >> self.line_shift, self.nrows)
+    }
+
+    /// First arena slot of `row`, or `None` while its block has no
+    /// storage (the row reads as empty).
+    fn row_base(&self, row: usize) -> Option<usize> {
+        let block = self.blocks[row / BLOCK_ROWS];
+        (block != UNALLOCATED)
+            .then(|| (block as usize * BLOCK_ROWS + row % BLOCK_ROWS) * self.cfg.ways)
+    }
+
+    /// First arena slot of `row`, giving its block storage (empty
+    /// slots, fresh LRU ranks) on the first write.
+    fn row_base_mut(&mut self, row: usize) -> usize {
+        let ways = self.cfg.ways;
+        let block = &mut self.blocks[row / BLOCK_ROWS];
+        if *block == UNALLOCATED {
+            *block = (self.lru.len() / (BLOCK_ROWS * ways)) as u32;
+            self.entries.resize(self.entries.len() + BLOCK_ROWS * ways, None);
+            self.lru.extend_from_slice(&lru_fresh_table(BLOCK_ROWS, ways));
+        }
+        (*block as usize * BLOCK_ROWS + row % BLOCK_ROWS) * ways
     }
 
     /// Writes an entry into the BTB2 (fill from a BTB1 victim, a
@@ -149,7 +192,7 @@ impl Btb2 {
     /// tag/offset in the row) are overwritten in place.
     pub fn fill(&mut self, entry: BtbEntry) {
         let ways = self.cfg.ways;
-        let base = self.row_index(entry.branch_addr) * ways;
+        let base = self.row_base_mut(self.row_index(entry.branch_addr));
         let row = &mut self.entries[base..base + ways];
         for (w, e) in row.iter_mut().enumerate() {
             if let Some(existing) = e {
@@ -178,7 +221,9 @@ impl Btb2 {
     /// promotion to BTB1). Returns whether anything was removed.
     pub fn invalidate(&mut self, entry: &BtbEntry) -> bool {
         let ways = self.cfg.ways;
-        let base = self.row_index(entry.branch_addr) * ways;
+        let Some(base) = self.row_base(self.row_index(entry.branch_addr)) else {
+            return false;
+        };
         for e in self.entries[base..base + ways].iter_mut() {
             if let Some(v) = e {
                 if v.matches(entry.tag, entry.offset_hw) {
@@ -263,7 +308,9 @@ impl Btb2 {
         let mut hit_ways = Vec::new();
         for l in 0..self.cfg.search_lines as u64 {
             let line_addr = InstrAddr::new(start_line + l * self.line_bytes);
-            let base = self.row_index(line_addr) * ways;
+            let Some(base) = self.row_base(self.row_index(line_addr)) else {
+                continue;
+            };
             // Collect hits first, then touch LRU.
             hit_ways.clear();
             for (w, e) in self.entries[base..base + ways].iter().enumerate() {
@@ -300,15 +347,22 @@ impl Btb2 {
         self.staging.len()
     }
 
-    /// Iterates over all valid entries (verification use).
+    /// Iterates over all valid entries in slot order: by row, then way
+    /// (verification use).
     pub fn iter(&self) -> impl Iterator<Item = &BtbEntry> {
-        self.entries.iter().flatten()
+        let span = BLOCK_ROWS * self.cfg.ways;
+        self.blocks
+            .iter()
+            .filter(|&&block| block != UNALLOCATED)
+            .flat_map(move |&block| self.entries[block as usize * span..][..span].iter().flatten())
     }
 
     /// Whether an entry for this exact slot exists (verification use).
     pub fn contains(&self, entry: &BtbEntry) -> bool {
         let ways = self.cfg.ways;
-        let base = self.row_index(entry.branch_addr) * ways;
+        let Some(base) = self.row_base(self.row_index(entry.branch_addr)) else {
+            return false;
+        };
         self.entries[base..base + ways]
             .iter()
             .flatten()
@@ -319,7 +373,9 @@ impl Btb2 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::z15_config;
+    use crate::config::{z13_config, z15_config, zec12_config};
+    use proptest::prelude::*;
+    use std::sync::OnceLock;
     use zbp_zarch::Mnemonic;
 
     fn btb2() -> Btb2 {
@@ -463,5 +519,214 @@ mod tests {
         assert_eq!(b.stats.searches_successive, 1);
         assert_eq!(b.stats.searches_burst, 1);
         assert_eq!(b.stats.searches_context, 1);
+    }
+
+    #[test]
+    fn fresh_btb2_allocates_no_rows() {
+        let b = btb2();
+        assert_eq!(b.allocated_rows(), 0);
+        assert_eq!(b.occupancy(), 0);
+        assert_eq!(b.iter().count(), 0);
+    }
+
+    #[test]
+    fn first_write_allocates_one_block() {
+        let mut b = btb2();
+        b.fill(entry(0x10004));
+        assert_eq!(b.allocated_rows(), BLOCK_ROWS);
+        b.fill(entry(0x10008));
+        assert_eq!(b.allocated_rows(), BLOCK_ROWS, "same row, same block");
+        b.refresh(entry(0x9_0004));
+        assert_eq!(b.allocated_rows(), 2 * BLOCK_ROWS, "a refresh writes too");
+    }
+
+    #[test]
+    fn reads_of_never_written_rows_stage_and_allocate_nothing() {
+        let mut b = btb2();
+        let far = entry(0x7_0004);
+        for l in 0..64u64 {
+            let reason = SearchReason::SuccessiveMisses;
+            assert_eq!(b.search(InstrAddr::new(0x40_0000 + l * 64 * 32), reason), 0);
+        }
+        assert!(!b.contains(&far));
+        assert!(!b.invalidate(&far));
+        assert_eq!(b.allocated_rows(), 0);
+        assert_eq!(b.stats.searches, 64);
+        assert_eq!(b.stats.hits_staged, 0);
+        assert_eq!(b.stats.exclusive_invalidates, 0);
+    }
+
+    /// One BTB2 geometry under test plus branch addresses whose rows
+    /// sit at the ends of the table and on both sides of a block
+    /// boundary (several lines per row, so rows overflow their ways).
+    struct Geometry {
+        cfg: Btb2Config,
+        line_bytes: u64,
+        tag_bits: u32,
+        addrs: Vec<u64>,
+    }
+
+    fn geometries() -> &'static [Geometry] {
+        static GEOMETRIES: OnceLock<Vec<Geometry>> = OnceLock::new();
+        GEOMETRIES.get_or_init(|| {
+            let preset = |c: crate::config::PredictorConfig| {
+                (c.btb2.clone().expect("preset has a BTB2"), c.btb1.search_bytes, c.btb1.tag_bits)
+            };
+            // A row count the block size does not divide: the last
+            // block is partial.
+            let (mut odd, line, tag) = preset(z15_config());
+            odd.rows = 250 * BLOCK_ROWS + 3;
+            odd.staging_capacity = 3;
+            [preset(z15_config()), preset(z13_config()), preset(zec12_config()), (odd, line, tag)]
+                .into_iter()
+                .map(|(cfg, line_bytes, tag_bits)| {
+                    let rows = cfg.rows;
+                    let mid = rows / BLOCK_ROWS / 2 * BLOCK_ROWS;
+                    let last = (rows - 1) / BLOCK_ROWS * BLOCK_ROWS;
+                    let wanted = [0, 1, mid - 1, mid, last, rows - 1];
+                    let mut per_row = vec![0usize; wanted.len()];
+                    let mut addrs = Vec::new();
+                    let mut line = 0x1000u64;
+                    while per_row.iter().any(|&n| n < 6) {
+                        let row = index_of(line, rows);
+                        if let Some(i) = wanted.iter().position(|&r| r == row) {
+                            if per_row[i] < 6 {
+                                per_row[i] += 1;
+                                addrs.extend([4, 10, 30].map(|off| line * line_bytes + off));
+                            }
+                        }
+                        line += 1;
+                    }
+                    Geometry { cfg, line_bytes, tag_bits, addrs }
+                })
+                .collect()
+        })
+    }
+
+    /// Reference model: every row backed from the start in one flat
+    /// slot array (slot = row × ways + way), as before storage was paged.
+    struct FlatRows {
+        entries: Vec<Option<BtbEntry>>,
+        lru: Vec<u8>,
+        ways: usize,
+        rows: usize,
+        line_bytes: u64,
+    }
+
+    impl FlatRows {
+        fn new(cfg: &Btb2Config, line_bytes: u64) -> Self {
+            FlatRows {
+                entries: vec![None; cfg.rows * cfg.ways],
+                lru: lru_fresh_table(cfg.rows, cfg.ways),
+                ways: cfg.ways,
+                rows: cfg.rows,
+                line_bytes,
+            }
+        }
+
+        fn base(&self, addr: u64) -> usize {
+            index_of(addr / self.line_bytes, self.rows) * self.ways
+        }
+
+        fn fill(&mut self, e: BtbEntry) {
+            let (base, ways) = (self.base(e.branch_addr.raw()), self.ways);
+            let row = &mut self.entries[base..base + ways];
+            let way = row
+                .iter()
+                .position(|x| x.is_some_and(|x| x.matches(e.tag, e.offset_hw)))
+                .or_else(|| row.iter().position(Option::is_none))
+                .unwrap_or_else(|| lru_victim(&self.lru[base..base + ways]));
+            row[way] = Some(e);
+            lru_touch(&mut self.lru[base..base + ways], way);
+        }
+
+        fn contains(&self, e: &BtbEntry) -> bool {
+            let base = self.base(e.branch_addr.raw());
+            self.entries[base..base + self.ways]
+                .iter()
+                .any(|x| x.is_some_and(|x| x.matches(e.tag, e.offset_hw)))
+        }
+
+        fn invalidate(&mut self, e: &BtbEntry) -> bool {
+            let base = self.base(e.branch_addr.raw());
+            let row = &mut self.entries[base..base + self.ways];
+            match row.iter().position(|x| x.is_some_and(|x| x.matches(e.tag, e.offset_hw))) {
+                Some(w) => {
+                    row[w] = None;
+                    true
+                }
+                None => false,
+            }
+        }
+
+        /// Every hit of a `lines`-line search, in staging order.
+        fn search(&mut self, addr: u64, lines: usize) -> Vec<BtbEntry> {
+            let start = addr / self.line_bytes;
+            let mut hits = Vec::new();
+            for line in start..start + lines as u64 {
+                let base = index_of(line, self.rows) * self.ways;
+                for w in 0..self.ways {
+                    if let Some(e) = self.entries[base + w] {
+                        if e.branch_addr.raw() / self.line_bytes == line {
+                            hits.push(e);
+                            lru_touch(&mut self.lru[base..base + self.ways], w);
+                        }
+                    }
+                }
+            }
+            hits
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        #[test]
+        fn paged_rows_match_a_flat_row_array(
+            geometry in 0usize..4,
+            ops in prop::collection::vec((0u8..4, any::<usize>(), 0u64..40, any::<bool>()), 1..160)
+        ) {
+            let g = &geometries()[geometry];
+            let mut paged = Btb2::new(&g.cfg, g.line_bytes);
+            let mut flat = FlatRows::new(&g.cfg, g.line_bytes);
+            for (op, pick, shift, alt) in ops {
+                let addr = g.addrs[pick % g.addrs.len()];
+                let target = if alt { addr + 0x400 } else { addr + 0x100 };
+                let e = BtbEntry::install(
+                    InstrAddr::new(addr),
+                    Mnemonic::Brc,
+                    InstrAddr::new(target),
+                    true,
+                    g.line_bytes,
+                    g.tag_bits,
+                );
+                match op {
+                    0 => {
+                        paged.fill(e);
+                        flat.fill(e);
+                    }
+                    1 => {
+                        paged.refresh(e);
+                        flat.fill(e);
+                    }
+                    2 => prop_assert_eq!(paged.invalidate(&e), flat.invalidate(&e)),
+                    _ => {
+                        // Start up to a full search width before the
+                        // picked line, so a search spans several rows.
+                        let back = shift % g.cfg.search_lines as u64 * g.line_bytes;
+                        let start = addr.saturating_sub(back);
+                        let hits = flat.search(start, g.cfg.search_lines);
+                        let staged =
+                            paged.search(InstrAddr::new(start), SearchReason::SuccessiveMisses);
+                        prop_assert_eq!(staged, hits.len().min(g.cfg.staging_capacity));
+                        let popped: Vec<BtbEntry> =
+                            std::iter::from_fn(|| paged.pop_staged()).collect();
+                        prop_assert_eq!(&popped[..], &hits[..staged]);
+                    }
+                }
+                prop_assert_eq!(paged.contains(&e), flat.contains(&e));
+            }
+            prop_assert!(paged.iter().copied().eq(flat.entries.iter().flatten().copied()));
+            prop_assert_eq!(paged.occupancy(), flat.entries.iter().flatten().count());
+        }
     }
 }

@@ -317,10 +317,9 @@ impl ZPredictor {
 
     /// Returns the predictor to its power-on state, keeping the
     /// configuration but discarding every learned table, speculative
-    /// override, path history and statistic. This is how a serving
-    /// shard recycles a predictor between sessions so one stream's
-    /// history can never leak into the next (the probe and telemetry
-    /// handles are discarded too — reinstall per session).
+    /// override, path history and statistic, so one stream's history
+    /// can never leak into the next (the probe and telemetry handles
+    /// are discarded too — reinstall per session).
     pub fn reset(&mut self) {
         *self = ZPredictor::new(self.cfg.clone());
     }
@@ -435,8 +434,7 @@ impl ZPredictor {
     pub fn context_switch(&mut self, new_context: InstrAddr) {
         self.stats.context_changes += 1;
         // Per-stream speculative state describes the *old* context and
-        // must not colour the new one (nor leak between sessions when a
-        // serving shard recycles a predictor): drop the SBHT/SPHT
+        // must not colour the new one: drop the SBHT/SPHT
         // assumption entries, both threads' call-return stacks, and the
         // stream-tracking bookkeeping so the next prediction re-anchors
         // its stream in the new context.

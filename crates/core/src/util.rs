@@ -229,6 +229,18 @@ pub fn lru_fresh_ranks(ways: usize) -> impl Iterator<Item = u8> {
     (0..ways).map(move |w| (ways - 1 - w) as u8)
 }
 
+/// Initial LRU ranks for a flat table of `rows` rows of `ways` ways:
+/// [`lru_fresh_ranks`] repeated once per row.
+///
+/// ```
+/// use zbp_core::util::lru_fresh_table;
+///
+/// assert_eq!(lru_fresh_table(2, 3), [2, 1, 0, 2, 1, 0]);
+/// ```
+pub fn lru_fresh_table(rows: usize, ways: usize) -> Vec<u8> {
+    lru_fresh_ranks(ways).collect::<Vec<u8>>().repeat(rows)
+}
+
 /// Per-row true-LRU tracking for a set-associative structure.
 ///
 /// `ranks[w]` is the age of way `w`: 0 = most recently used.

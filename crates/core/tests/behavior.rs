@@ -216,3 +216,46 @@ fn probe_event_stream_matches_protocol() {
     assert_eq!(c.1, 25, "one Complete event per completion");
     assert_eq!(c.2, 25, "one search event per prediction in functional mode");
 }
+
+#[test]
+fn btb2_rows_are_allocated_on_write_and_travel_with_snapshots() {
+    let cfg = GenerationPreset::Z15.config();
+    let mut p = ZPredictor::new(cfg.clone());
+    let rows = |p: &ZPredictor| p.structures().btb2.expect("z15 has a BTB2").allocated_rows();
+    assert_eq!(rows(&p), 0, "a fresh z15 predictor holds no BTB2 rows");
+
+    // A sparse BTB2: a few preloaded branches the BTB1 has never seen.
+    let branches: Vec<BranchRecord> = (0..6u64)
+        .map(|k| rec(0x40_0000 + k * 0x1_0040 + 4, Mnemonic::Brc, true, 0x9000 + k * 0x100))
+        .collect();
+    for r in &branches {
+        p.preload_btb2(p.make_entry(r));
+    }
+    let sparse = rows(&p);
+    assert!(sparse > 0 && sparse <= 6 * 4, "only written blocks are backed: {sparse} rows");
+
+    let image = p.snapshot();
+    let mut restored = ZPredictor::new(cfg);
+    restored.restore(&image).expect("same configuration");
+    let mut moved = ZPredictor::from_image(image);
+    for q in [&restored, &moved] {
+        assert_eq!(rows(q), sparse);
+        let entries =
+            |p: &ZPredictor| p.structures().btb2.expect("BTB2").iter().copied().collect::<Vec<_>>();
+        assert_eq!(entries(q), entries(&p));
+    }
+
+    // The copies backfill the BTB1 from their BTB2 exactly like the
+    // original: successive misses search it, and the staged entries
+    // turn later predictions into hits.
+    for q in [&mut p, &mut restored, &mut moved] {
+        for _ in 0..3 {
+            for r in &branches {
+                step(q, r);
+            }
+        }
+    }
+    assert!(p.stats.btb2_promotions > 0, "the BTB2 backfilled the BTB1");
+    assert_eq!(restored.stats, p.stats);
+    assert_eq!(moved.stats, p.stats);
+}

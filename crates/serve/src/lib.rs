@@ -12,8 +12,8 @@
 //!   imaged ([`Session::snapshot`] → [`SessionImage`]) and resumed
 //!   elsewhere byte-identically.
 //! * [`ShardPool`] — N predictor shards, each a worker thread with a
-//!   bounded work queue and a free list of recycled predictors, serving
-//!   many concurrently-open sessions. Full queues reject with
+//!   bounded work queue, serving many concurrently-open sessions, each
+//!   on a predictor of its own. Full queues reject with
 //!   [`ServeError::Busy`] (backpressure, not blocking); shutdown drains
 //!   gracefully and reduces per-stream telemetry deterministically. The
 //!   pool is **elastic**: sessions live-migrate between shards

@@ -1,6 +1,6 @@
 //! The sharded session multiplexer: N worker threads, each owning a
-//! bounded work queue and a free list of recycled predictors, serving
-//! many concurrently-open prediction streams.
+//! bounded work queue, serving many concurrently-open prediction
+//! streams.
 //!
 //! Streams hash to shards by label (FNV-1a), mirroring the paper's
 //! decoupling of the BPL from its consumers: clients are the ICM/IDU
@@ -9,9 +9,9 @@
 //! ([`ServeError::Busy`] with a retry-after hint) instead of blocking
 //! the whole service.
 //!
-//! Every session runs on its **own** predictor (taken from the shard's
-//! free list and [`ZPredictor::reset`] between sessions), so per-stream
-//! statistics are byte-identical to an isolated
+//! Every session runs on its **own** predictor, built fresh at open
+//! (cheap: the large BTB2 allocates its rows on first write), so
+//! per-stream statistics are byte-identical to an isolated
 //! [`SessionOptions::run`](crate::SessionOptions::run) no
 //! matter how many streams interleave on a shard — the property the
 //! pool tests pin down.
@@ -43,7 +43,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, Sender, SyncSender, TrySendError};
 use std::sync::{Mutex, RwLock};
 use std::thread::JoinHandle;
-use zbp_core::{PredictorConfig, ZPredictor};
+use zbp_core::PredictorConfig;
 use zbp_model::BranchRecord;
 use zbp_telemetry::Snapshot;
 
@@ -59,19 +59,11 @@ pub struct PoolConfig {
     pub max_batch: usize,
     /// Retry hint handed back with [`ServeError::Busy`].
     pub retry_after_ms: u32,
-    /// Recycled predictors kept per shard.
-    pub free_list: usize,
 }
 
 impl Default for PoolConfig {
     fn default() -> Self {
-        PoolConfig {
-            shards: 2,
-            queue_depth: 64,
-            max_batch: 65_536,
-            retry_after_ms: 1,
-            free_list: 8,
-        }
+        PoolConfig { shards: 2, queue_depth: 64, max_batch: 65_536, retry_after_ms: 1 }
     }
 }
 
@@ -656,11 +648,10 @@ pub struct ShardPause {
 
 fn spawn_shard(shard: usize, cfg: &PoolConfig, done: Sender<CompletedSession>) -> Shard {
     let (tx, rx) = sync_channel(cfg.queue_depth.max(1));
-    let free_cap = cfg.free_list;
     let retry_ms = cfg.retry_after_ms;
     let worker = std::thread::Builder::new()
         .name(format!("zbp-shard-{shard}"))
-        .spawn(move || shard_worker(shard, rx, done, free_cap, retry_ms))
+        .spawn(move || shard_worker(shard, rx, done, retry_ms))
         .expect("spawn shard worker");
     Shard { tx, worker }
 }
@@ -682,15 +673,8 @@ fn import_session(shard: &Shard, id: StreamId, image: Box<SessionImage>) -> Resu
     rx.recv().map_err(|_| ServeError::ShuttingDown)
 }
 
-fn shard_worker(
-    shard: usize,
-    rx: Receiver<Cmd>,
-    done: Sender<CompletedSession>,
-    free_cap: usize,
-    retry_ms: u32,
-) {
+fn shard_worker(shard: usize, rx: Receiver<Cmd>, done: Sender<CompletedSession>, retry_ms: u32) {
     let mut open: BTreeMap<u64, Session> = BTreeMap::new();
-    let mut free: Vec<ZPredictor> = Vec::new();
     // Streams exported to another shard. A command racing the move is
     // told Busy; by the time the client retries, the routes table
     // points at the new home. Bounded by migrations off this worker.
@@ -698,24 +682,7 @@ fn shard_worker(
     while let Ok(cmd) = rx.recv() {
         match cmd {
             Cmd::Open { id, label, cfg, mode, traced, reply } => {
-                let session = match mode {
-                    ReplayMode::Delayed { depth } => {
-                        // Recycle a predictor with a matching
-                        // configuration if one is free; reset() returned
-                        // it to power-on state, so the session behaves
-                        // exactly like one on a fresh predictor.
-                        match free.iter().position(|p| *p.config() == *cfg) {
-                            Some(i) => {
-                                Session::open_recycled(label, free.swap_remove(i), depth, traced)
-                            }
-                            None => {
-                                Session::open(label, &cfg, ReplayMode::Delayed { depth }, traced)
-                            }
-                        }
-                    }
-                    mode => Session::open(label, &cfg, mode, traced),
-                };
-                open.insert(id.0, session);
+                open.insert(id.0, Session::open(label, &cfg, mode, traced));
                 let _ = reply.send(());
             }
             Cmd::Feed { id, batch, reply } => {
@@ -735,8 +702,7 @@ fn shard_worker(
                 let res = match open.remove(&id.0) {
                     Some(s) => {
                         let label = s.label().to_string();
-                        let (report, pred) = s.finish_into(tail_instrs);
-                        recycle(pred, &mut free, free_cap);
+                        let report = s.finish(tail_instrs);
                         let _ = done.send(CompletedSession {
                             id,
                             label,
@@ -763,10 +729,6 @@ fn shard_worker(
                     Some(s) => match s.snapshot() {
                         Some(image) => {
                             moved.insert(id.0);
-                            // The predictor inside `s` was imaged, not
-                            // consumed — recycle it for the next open.
-                            let (_, pred) = s.finish_into(0);
-                            recycle(pred, &mut free, free_cap);
                             Ok(Box::new(image))
                         }
                         None => {
@@ -780,19 +742,14 @@ fn shard_worker(
                 let _ = reply.send(res);
             }
             Cmd::Import { id, image, reply } => {
-                let recycled = free
-                    .iter()
-                    .position(|p| *p.config() == *image.config())
-                    .map(|i| free.swap_remove(i));
-                let session = Session::resume_recycled(*image, recycled);
                 moved.remove(&id.0);
-                open.insert(id.0, session);
+                open.insert(id.0, Session::resume(*image));
                 let _ = reply.send(());
             }
             Cmd::Die { reply } => {
                 let _ = reply.send(open.len() as u64);
-                // Crash semantics: no reports, no recycling, queue
-                // abandoned (pending repliers see a disconnect).
+                // Crash semantics: no reports, queue abandoned
+                // (pending repliers see a disconnect).
                 return;
             }
         }
@@ -802,17 +759,7 @@ fn shard_worker(
     // deterministic without an explicit sort.
     for (id, s) in open {
         let label = s.label().to_string();
-        let (report, pred) = s.finish_into(0);
-        recycle(pred, &mut free, free_cap);
+        let report = s.finish(0);
         let _ = done.send(CompletedSession { id: StreamId(id), label, shard, report });
-    }
-}
-
-fn recycle(pred: Option<ZPredictor>, free: &mut Vec<ZPredictor>, cap: usize) {
-    if let Some(mut p) = pred {
-        if free.len() < cap {
-            p.reset();
-            free.push(p);
-        }
     }
 }

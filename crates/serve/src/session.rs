@@ -292,7 +292,20 @@ impl Session {
         let label = label.into();
         match mode {
             ReplayMode::Delayed { depth } => {
-                Session::open_recycled(label, ZPredictor::new(cfg.clone()), depth, traced)
+                let mut pred = ZPredictor::new(cfg.clone());
+                let harness_tel = if traced {
+                    pred.set_telemetry(Telemetry::enabled());
+                    Telemetry::enabled()
+                } else {
+                    Telemetry::disabled()
+                };
+                let core = ReplayCore::new(depth);
+                Session {
+                    label,
+                    traced,
+                    engine: Engine::Delayed { pred: Box::new(pred), core, harness_tel },
+                    records: 0,
+                }
             }
             ReplayMode::Cosim(ccfg) => {
                 Session::open_buffered(label, cfg, WholeMode::Cosim(ccfg), traced)
@@ -320,32 +333,6 @@ impl Session {
                 trace: DynamicTrace::new(label.clone()),
             },
             label,
-            records: 0,
-        }
-    }
-
-    /// Opens a delayed-mode stream on an existing predictor instance —
-    /// the shard recycling path: a pool resets and reuses predictors
-    /// between sessions instead of reallocating every table. The
-    /// predictor must be in its power-on state ([`ZPredictor::reset`])
-    /// for the run to match a fresh one.
-    pub(crate) fn open_recycled(
-        label: impl Into<String>,
-        mut pred: ZPredictor,
-        depth: usize,
-        traced: bool,
-    ) -> Session {
-        if traced {
-            pred.set_telemetry(Telemetry::enabled());
-        }
-        Session {
-            label: label.into(),
-            traced,
-            engine: Engine::Delayed {
-                pred: Box::new(pred),
-                core: ReplayCore::new(depth),
-                harness_tel: if traced { Telemetry::enabled() } else { Telemetry::disabled() },
-            },
             records: 0,
         }
     }
@@ -411,10 +398,9 @@ impl Session {
     }
 
     /// Like [`finish`](Session::finish), additionally handing back the
-    /// predictor — for shard recycling, or for callers that inspect
-    /// structure-level statistics after the run. `None` for the
-    /// whole-stream modes, whose drivers own their predictor
-    /// internally.
+    /// predictor — for callers that inspect structure-level statistics
+    /// after the run. `None` for the whole-stream modes, whose drivers
+    /// own their predictor internally.
     pub fn finish_into(self, tail_instrs: u64) -> (SessionReport, Option<ZPredictor>) {
         let traced = self.traced;
         let records = self.records;
@@ -485,32 +471,6 @@ impl Session {
             traced: false,
             engine: Engine::Delayed {
                 pred: Box::new(ZPredictor::from_image(image.state)),
-                core: image.core,
-                harness_tel: Telemetry::disabled(),
-            },
-            records: image.records,
-        }
-    }
-
-    /// Like [`Session::resume`], but restores into an existing
-    /// predictor (the shard free-list path: no table reallocation).
-    /// Falls back to a fresh predictor when the configurations differ.
-    pub(crate) fn resume_recycled(image: SessionImage, pred: Option<ZPredictor>) -> Session {
-        let pred = match pred {
-            Some(mut p) => {
-                if p.restore(&image.state).is_ok() {
-                    p
-                } else {
-                    ZPredictor::from_image(image.state)
-                }
-            }
-            None => ZPredictor::from_image(image.state),
-        };
-        Session {
-            label: image.label,
-            traced: false,
-            engine: Engine::Delayed {
-                pred: Box::new(pred),
                 core: image.core,
                 harness_tel: Telemetry::disabled(),
             },

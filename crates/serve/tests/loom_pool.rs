@@ -13,9 +13,10 @@
 //! 2. **Concurrent drain vs. feed** — two streams hammering one shard
 //!    from separate threads produce byte-identical reports to isolated
 //!    serial runs.
-//! 3. **Free-list recycling** — a recycled predictor never aliases two
-//!    live sessions: concurrently opened streams that reuse free-list
-//!    predictors still match fresh isolated runs exactly.
+//! 3. **No aliasing** — sessions on one shard never share predictor
+//!    state: streams opened, fed and closed concurrently, after another
+//!    stream on the same shard has finished, still match fresh isolated
+//!    runs exactly.
 
 #![cfg(loom)]
 
@@ -33,21 +34,24 @@ fn trace(seed: u64, len: u64) -> DynamicTrace {
     out
 }
 
+/// Retries `op` through `Busy` rejections (the loom scheduler decides
+/// how often we collide).
+fn retry<T>(mut op: impl FnMut() -> Result<T, ServeError>) -> T {
+    loop {
+        match op() {
+            Ok(v) => return v,
+            Err(ServeError::Busy { .. }) => loom::thread::yield_now(),
+            Err(e) => panic!("pool call failed: {e}"),
+        }
+    }
+}
+
 /// Feeds every record in `batch`-sized chunks, spinning through `Busy`
-/// rejections (the loom scheduler decides how often we collide).
+/// rejections.
 fn feed_all(pool: &ShardPool, id: StreamId, records: &[BranchRecord], batch: usize) -> u64 {
     let mut total = 0;
     for chunk in records.chunks(batch) {
-        loop {
-            match pool.feed(id, chunk.to_vec()) {
-                Ok(n) => {
-                    total = n;
-                    break;
-                }
-                Err(ServeError::Busy { .. }) => loom::thread::yield_now(),
-                Err(e) => panic!("feed failed: {e}"),
-            }
-        }
+        total = retry(|| pool.feed(id, chunk.to_vec()));
     }
     total
 }
@@ -130,7 +134,7 @@ fn concurrent_feeds_on_one_shard_match_isolated_runs() {
 }
 
 #[test]
-fn free_list_recycling_never_aliases_live_sessions() {
+fn concurrent_sessions_on_one_shard_never_alias() {
     loom::model(|| {
         let warm = trace(17, 200);
         let ta = trace(19, 200);
@@ -138,41 +142,41 @@ fn free_list_recycling_never_aliases_live_sessions() {
         let pool = Arc::new(ShardPool::new(PoolConfig {
             shards: 1,
             queue_depth: 8,
-            free_list: 2,
             ..PoolConfig::default()
         }));
         let cfg = GenerationPreset::Z15.config();
 
-        // Seed the free list: run one session to completion so its
-        // predictor is parked for reuse.
+        // A finished session first, so its tables could leak into the
+        // next ones if the shard kept any predictor state around.
         let o0 = pool.open(warm.label(), &cfg, ReplayMode::default(), false).expect("open warm");
         feed_all(&pool, o0.id, warm.as_slice(), 97);
         let warm_report = pool.close(o0.id, warm.tail_instrs()).expect("close warm");
         assert_eq!(warm_report, Session::options(&cfg).run(&warm));
 
-        // Two live sessions, at least one on a recycled predictor, fed
-        // concurrently. If recycling aliased state — shared tables, a
-        // stale GPQ — the reports would diverge from isolated runs.
-        let oa = pool.open(ta.label(), &cfg, ReplayMode::default(), false).expect("open a");
-        let ob = pool.open(tb.label(), &cfg, ReplayMode::default(), false).expect("open b");
-        assert!(o0.id < oa.id && oa.id < ob.id, "stream ids stay unique and ascending");
-
-        let feeders: Vec<_> = [(oa.id, ta.clone()), (ob.id, tb.clone())]
+        // Two streams, each opened, fed and closed from its own thread,
+        // so one stream's open and close race the other's feeds. Shared
+        // state of any kind (tables, a stale GPQ) would make the reports
+        // diverge from isolated runs.
+        let workers: Vec<_> = [ta.clone(), tb.clone()]
             .into_iter()
-            .map(|(id, t)| {
+            .map(|t| {
                 let pool = Arc::clone(&pool);
-                loom::thread::spawn(move || feed_all(&pool, id, t.as_slice(), 53))
+                let cfg = cfg.clone();
+                loom::thread::spawn(move || {
+                    let opened = retry(|| pool.open(t.label(), &cfg, ReplayMode::default(), false));
+                    feed_all(&pool, opened.id, t.as_slice(), 53);
+                    (opened.id, retry(|| pool.close(opened.id, t.tail_instrs())))
+                })
             })
             .collect();
-        for f in feeders {
-            f.join().expect("feeder");
-        }
-        let ra = pool.close(oa.id, ta.tail_instrs()).expect("close a");
-        let rb = pool.close(ob.id, tb.tail_instrs()).expect("close b");
-        assert_eq!(ra, Session::options(&cfg).run(&ta), "recycled session a");
-        assert_eq!(rb, Session::options(&cfg).run(&tb), "recycled session b");
+        let mut done = workers.into_iter().map(|w| w.join().expect("worker"));
+        let (ia, ra) = done.next().expect("stream a");
+        let (ib, rb) = done.next().expect("stream b");
+        assert!(o0.id < ia && o0.id < ib && ia != ib, "stream ids stay unique and ascending");
+        assert_eq!(ra, Session::options(&cfg).run(&ta), "session a");
+        assert_eq!(rb, Session::options(&cfg).run(&tb), "session b");
 
-        let pool = Arc::try_unwrap(pool).expect("feeders dropped their handles");
+        let pool = Arc::try_unwrap(pool).expect("workers dropped their handles");
         let summary = pool.shutdown();
         assert_eq!(summary.sessions.len(), 3);
     });
