@@ -26,9 +26,11 @@ pub enum CondBehavior {
     },
     /// Taken iff the most recent outcome of another site (by flat site
     /// index) XOR `invert` — cross-branch correlation (the perceptron
-    /// showcase).
+    /// showcase). A leader that has not executed yet reads not-taken.
     Correlated {
-        /// Flat index of the site this one correlates with.
+        /// Flat index of the site this one correlates with: its position
+        /// among the program's conditional sites in function and op
+        /// order, which [`Program::layout`] checks is in range.
         depends_on: usize,
         /// Whether the correlation is inverted.
         invert: bool,
@@ -157,11 +159,45 @@ pub struct Program {
 
 /// A structural validity error in a program.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ProgramError(String);
+pub enum ProgramError {
+    /// A malformed layout, described in words: no functions, an empty
+    /// or fall-through body, a missing op or function, a wrong
+    /// mnemonic class, an empty indirect table or overlapping functions.
+    Malformed(String),
+    /// A [`CondBehavior::Pattern`] with no steps.
+    EmptyPattern {
+        /// Function index.
+        func: usize,
+        /// Op index within the function.
+        op: usize,
+    },
+    /// A [`CondBehavior::Correlated`] whose leader is not one of the
+    /// program's conditional sites.
+    UnknownLeader {
+        /// Function index.
+        func: usize,
+        /// Op index within the function.
+        op: usize,
+        /// The flat conditional-site index it depends on.
+        depends_on: usize,
+        /// How many conditional sites the program has.
+        sites: usize,
+    },
+}
 
 impl fmt::Display for ProgramError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid program: {}", self.0)
+        match self {
+            ProgramError::Malformed(why) => write!(f, "invalid program: {why}"),
+            ProgramError::EmptyPattern { func, op } => {
+                write!(f, "invalid program: func {func} op {op}: empty pattern")
+            }
+            ProgramError::UnknownLeader { func, op, depends_on, sites } => write!(
+                f,
+                "invalid program: func {func} op {op}: depends on conditional site \
+                 {depends_on}, but there are only {sites}"
+            ),
+        }
     }
 }
 
@@ -174,14 +210,16 @@ impl Program {
     ///
     /// Returns an error when a branch targets an out-of-range op, a call
     /// references a missing function, a function body is empty or does
-    /// not end in control transfer, or function address ranges overlap.
+    /// not end in control transfer, function address ranges overlap, a
+    /// pattern is empty, or a correlated site depends on a conditional
+    /// site the program does not have.
     pub fn layout(mut funcs: Vec<Func>) -> Result<Program, ProgramError> {
         if funcs.is_empty() {
-            return Err(ProgramError("no functions".into()));
+            return Err(ProgramError::Malformed("no functions".into()));
         }
         for f in &mut funcs {
             if f.body.is_empty() {
-                return Err(ProgramError("empty function body".into()));
+                return Err(ProgramError::Malformed("empty function body".into()));
             }
             let mut addr = f.base;
             f.op_addrs.clear();
@@ -192,29 +230,49 @@ impl Program {
             match f.body.last() {
                 Some(Op::Ret) | Some(Op::Goto { .. }) | Some(Op::IndirectLocal { .. }) => {}
                 _ => {
-                    return Err(ProgramError(
+                    return Err(ProgramError::Malformed(
                         "function must end in Ret, Goto or IndirectLocal".into(),
                     ))
                 }
             }
         }
         let nfuncs = funcs.len();
+        let cond_sites =
+            funcs.iter().flat_map(|f| &f.body).filter(|op| matches!(op, Op::Cond { .. })).count();
         for (fi, f) in funcs.iter().enumerate() {
             for (oi, op) in f.body.iter().enumerate() {
                 let check_local = |t: usize| {
                     if t >= f.body.len() {
-                        Err(ProgramError(format!("func {fi} op {oi}: target {t} out of range")))
+                        Err(ProgramError::Malformed(format!(
+                            "func {fi} op {oi}: target {t} out of range"
+                        )))
                     } else {
                         Ok(())
                     }
                 };
                 match op {
-                    Op::Cond { target, mnemonic, .. } => {
+                    Op::Cond { target, mnemonic, behavior } => {
                         check_local(*target)?;
                         if !mnemonic.class().is_conditional() {
-                            return Err(ProgramError(format!(
+                            return Err(ProgramError::Malformed(format!(
                                 "func {fi} op {oi}: {mnemonic} is not conditional"
                             )));
+                        }
+                        match behavior {
+                            CondBehavior::Pattern { pattern } if pattern.is_empty() => {
+                                return Err(ProgramError::EmptyPattern { func: fi, op: oi });
+                            }
+                            CondBehavior::Correlated { depends_on, .. }
+                                if *depends_on >= cond_sites =>
+                            {
+                                return Err(ProgramError::UnknownLeader {
+                                    func: fi,
+                                    op: oi,
+                                    depends_on: *depends_on,
+                                    sites: cond_sites,
+                                });
+                            }
+                            _ => {}
                         }
                     }
                     Op::Goto { target, mnemonic } => {
@@ -223,26 +281,28 @@ impl Program {
                             || mnemonic.class().is_indirect()
                             || mnemonic.class().is_link_setting()
                         {
-                            return Err(ProgramError(format!(
+                            return Err(ProgramError::Malformed(format!(
                                 "func {fi} op {oi}: {mnemonic} is not a plain goto"
                             )));
                         }
                     }
                     Op::Call { callee, mnemonic } => {
                         if *callee >= nfuncs {
-                            return Err(ProgramError(format!(
+                            return Err(ProgramError::Malformed(format!(
                                 "func {fi} op {oi}: callee {callee} missing"
                             )));
                         }
                         if !mnemonic.class().is_link_setting() {
-                            return Err(ProgramError(format!(
+                            return Err(ProgramError::Malformed(format!(
                                 "func {fi} op {oi}: {mnemonic} is not link-setting"
                             )));
                         }
                     }
                     Op::IndirectLocal { targets, .. } => {
                         if targets.is_empty() {
-                            return Err(ProgramError(format!("func {fi} op {oi}: no targets")));
+                            return Err(ProgramError::Malformed(format!(
+                                "func {fi} op {oi}: no targets"
+                            )));
                         }
                         for t in targets {
                             check_local(*t)?;
@@ -250,11 +310,13 @@ impl Program {
                     }
                     Op::IndirectCall { callees, .. } => {
                         if callees.is_empty() {
-                            return Err(ProgramError(format!("func {fi} op {oi}: no callees")));
+                            return Err(ProgramError::Malformed(format!(
+                                "func {fi} op {oi}: no callees"
+                            )));
                         }
                         for c in callees {
                             if *c >= nfuncs {
-                                return Err(ProgramError(format!(
+                                return Err(ProgramError::Malformed(format!(
                                     "func {fi} op {oi}: callee {c} missing"
                                 )));
                             }
@@ -270,7 +332,7 @@ impl Program {
         ranges.sort_unstable();
         for w in ranges.windows(2) {
             if w[0].1 > w[1].0 {
-                return Err(ProgramError(format!(
+                return Err(ProgramError::Malformed(format!(
                     "function ranges overlap: {:#x}..{:#x} vs {:#x}..",
                     w[0].0, w[0].1, w[1].0
                 )));
@@ -574,6 +636,37 @@ mod tests {
         b.indirect_call(f, vec![], IndirectSelector::Random);
         b.ret(f);
         assert!(b.build().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_empty_patterns() {
+        let mut b = ProgramBuilder::new();
+        let f = b.func(InstrAddr::new(0x1000));
+        b.straight(f, 1);
+        b.cond(f, Mnemonic::Brc, CondBehavior::Pattern { pattern: vec![] }, 0);
+        b.ret(f);
+        assert_eq!(b.build().unwrap_err(), ProgramError::EmptyPattern { func: 0, op: 1 });
+    }
+
+    #[test]
+    fn validation_rejects_correlation_with_a_missing_site() {
+        // Two conditional sites: flat indices 0 and 1 exist, 2 does not.
+        let mut b = ProgramBuilder::new();
+        let f = b.func(InstrAddr::new(0x1000));
+        b.cond(f, Mnemonic::Brc, CondBehavior::Biased { taken_prob: 0.5 }, 1);
+        b.cond(f, Mnemonic::Brc, CondBehavior::Correlated { depends_on: 2, invert: false }, 2);
+        b.ret(f);
+        let err = b.build().unwrap_err();
+        assert_eq!(err, ProgramError::UnknownLeader { func: 0, op: 1, depends_on: 2, sites: 2 });
+        assert!(err.to_string().contains("conditional site 2, but there are only 2"), "{err}");
+
+        // Depending on itself, the last site, is valid.
+        let mut b = ProgramBuilder::new();
+        let f = b.func(InstrAddr::new(0x1000));
+        b.cond(f, Mnemonic::Brc, CondBehavior::Biased { taken_prob: 0.5 }, 1);
+        b.cond(f, Mnemonic::Brc, CondBehavior::Correlated { depends_on: 1, invert: false }, 2);
+        b.ret(f);
+        assert!(b.build().is_ok());
     }
 
     #[test]

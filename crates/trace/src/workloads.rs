@@ -47,7 +47,7 @@ impl Workload {
 
     /// Executes the workload into a dynamic trace.
     pub fn dynamic_trace(&self) -> DynamicTrace {
-        Executor::new(self.program.clone(), self.seed).run(self.target_instrs, self.label.clone())
+        Executor::new(&self.program, self.seed).run(self.target_instrs, self.label.clone())
     }
 
     /// The workload's trace via the process-wide [`TraceCache`]: one
