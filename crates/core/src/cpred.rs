@@ -117,6 +117,15 @@ pub struct CpredStats {
     pub gated_structures: u64,
 }
 
+/// Where a stream start address lands in a [`Cpred`]: the entry index
+/// and the partial tag, as returned by [`Cpred::slot`]. Valid only for
+/// the table that computed it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CpredSlot {
+    idx: usize,
+    tag: u32,
+}
+
 /// The column predictor: direct-mapped on stream start address.
 #[derive(Debug, Clone)]
 pub struct Cpred {
@@ -143,21 +152,28 @@ impl Cpred {
         self.with_skoot
     }
 
-    fn slot(&self, stream_start: InstrAddr) -> (usize, u32) {
+    /// The table position of a stream: its entry index and partial tag.
+    /// The predictor computes this once when it enters a stream and
+    /// reuses it for that stream's lookup, its exit training and, one
+    /// stream later, its power training (the `*_at` methods); the
+    /// address forms below each derive it afresh.
+    pub fn slot(&self, stream_start: InstrAddr) -> CpredSlot {
         let key = stream_start.raw() >> 1;
-        (index_of(key, self.entries.len()), tag_of(key, self.tag_bits))
+        CpredSlot { idx: index_of(key, self.entries.len()), tag: tag_of(key, self.tag_bits) }
     }
 
     /// Looks up the prediction for a stream being entered.
     pub fn lookup(&mut self, stream_start: InstrAddr) -> Option<CpredPrediction> {
+        self.lookup_at(self.slot(stream_start))
+    }
+
+    /// [`Self::lookup`] at a precomputed [`CpredSlot`].
+    pub fn lookup_at(&mut self, slot: CpredSlot) -> Option<CpredPrediction> {
         self.stats.lookups += 1;
-        let (idx, tag) = self.slot(stream_start);
-        let hit = self.entries[idx].filter(|e| e.tag == tag).map(|e| e.pred);
-        if hit.is_some() {
+        let hit = self.entries[slot.idx].filter(|e| e.tag == slot.tag).map(|e| e.pred);
+        if let Some(p) = &hit {
             self.stats.hits += 1;
-            if let Some(p) = &hit {
-                self.stats.gated_structures += u64::from(p.power.gated_count());
-            }
+            self.stats.gated_structures += u64::from(p.power.gated_count());
         }
         hit
     }
@@ -167,7 +183,7 @@ impl Cpred {
     /// begins (already SKOOT-adjusted by the caller when enabled) and
     /// what the *target* stream needs powered.
     pub fn train(&mut self, stream_start: InstrAddr, pred: CpredPrediction) {
-        let (idx, tag) = self.slot(stream_start);
+        let CpredSlot { idx, tag } = self.slot(stream_start);
         self.entries[idx] = Some(Entry { tag, pred });
         self.stats.trains += 1;
     }
@@ -183,7 +199,18 @@ impl Cpred {
         way: u8,
         redirect: InstrAddr,
     ) {
-        let (idx, tag) = self.slot(stream_start);
+        self.train_exit_at(self.slot(stream_start), searches_to_taken, way, redirect);
+    }
+
+    /// [`Self::train_exit`] at a precomputed [`CpredSlot`].
+    pub fn train_exit_at(
+        &mut self,
+        slot: CpredSlot,
+        searches_to_taken: u8,
+        way: u8,
+        redirect: InstrAddr,
+    ) {
+        let CpredSlot { idx, tag } = slot;
         let power = self.entries[idx]
             .filter(|e| e.tag == tag)
             .map(|e| e.pred.power)
@@ -197,9 +224,13 @@ impl Cpred {
     /// target stream's actual needs are known, the predecessor stream's
     /// entry learns them.
     pub fn train_power(&mut self, stream_start: InstrAddr, power: PowerMask) {
-        let (idx, tag) = self.slot(stream_start);
-        if let Some(e) = self.entries[idx].as_mut() {
-            if e.tag == tag {
+        self.train_power_at(self.slot(stream_start), power);
+    }
+
+    /// [`Self::train_power`] at a precomputed [`CpredSlot`].
+    pub fn train_power_at(&mut self, slot: CpredSlot, power: PowerMask) {
+        if let Some(e) = self.entries[slot.idx].as_mut() {
+            if e.tag == slot.tag {
                 e.pred.power = power;
             }
         }
@@ -310,6 +341,40 @@ mod tests {
         c.assess_redirect(InstrAddr::new(0x8000), InstrAddr::new(0x9000));
         assert_eq!(c.stats.redirect_correct, 1);
         assert_eq!(c.stats.redirect_wrong, 1);
+    }
+
+    #[test]
+    fn slot_forms_match_address_forms_on_random_streams() {
+        use rand::{rngs::StdRng, RngExt, SeedableRng};
+        // A small table with short tags, so random streams alias in
+        // index and in tag and every hit/miss/overwrite path runs.
+        let cfg = CpredConfig { entries: 16, tag_bits: 3, with_skoot: true };
+        let (mut by_addr, mut by_slot) = (Cpred::new(&cfg), Cpred::new(&cfg));
+        let mut rng = StdRng::seed_from_u64(11);
+        for _ in 0..20_000 {
+            let stream = InstrAddr::new(2 * rng.random_range(0..512u64));
+            let slot = by_slot.slot(stream);
+            assert_eq!(slot, by_addr.slot(stream), "slots depend on geometry only");
+            match rng.random_range(0..3) {
+                0 => assert_eq!(by_slot.lookup_at(slot), by_addr.lookup(stream)),
+                1 => {
+                    let searches = rng.random_range(1..8u8);
+                    let way = rng.random_range(0..8u8);
+                    let redirect = InstrAddr::new(2 * rng.random_range(0..512u64));
+                    by_addr.train_exit(stream, searches, way, redirect);
+                    by_slot.train_exit_at(slot, searches, way, redirect);
+                }
+                _ => {
+                    let mut power = PowerMask::ALL_OFF;
+                    power.note_branch(rng.random_bool(0.5), rng.random_bool(0.5));
+                    by_addr.train_power(stream, power);
+                    by_slot.train_power_at(slot, power);
+                }
+            }
+        }
+        assert_eq!(by_slot.stats, by_addr.stats);
+        assert!(by_addr.stats.hits > 0 && by_addr.stats.hits < by_addr.stats.lookups);
+        assert!(by_slot.predictions().eq(by_addr.predictions()), "tables diverged");
     }
 
     #[test]

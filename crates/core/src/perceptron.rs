@@ -124,24 +124,12 @@ impl Perceptron {
         let tag = self.tag_for(addr);
         let gpv_bits = 2 * gpv.depth();
         let threshold = self.cfg.usefulness_threshold;
-        let weights_n = self.cfg.weights;
         let base = row * self.cfg.ways;
         let (way, e) = (0..self.cfg.ways).find_map(|w| {
             self.entries[base + w].as_ref().filter(|e| e.tag == tag).map(|e| (w, *e))
         })?;
         let (ws, sels) = self.stripe(base + way);
-        let mut sum = 0i32;
-        for i in 0..weights_n {
-            let pos = i + usize::from(sels[i]) * weights_n;
-            if pos >= gpv_bits {
-                continue;
-            }
-            if gpv.bit(pos) {
-                sum += ws[i];
-            } else {
-                sum -= ws[i];
-            }
-        }
+        let sum = weight_sum(ws, sels, gpv.raw(), gpv_bits);
         self.stats.hits += 1;
         Some(PerceptronHit {
             row,
@@ -176,35 +164,22 @@ impl Perceptron {
         // θ-gated training: adjust only when the entry was wrong or
         // under-confident, so uncorrelated weights stay near zero
         // instead of random-walking into saturation.
-        let mut sum = 0i32;
-        for i in 0..weights_n {
-            let pos = i + usize::from(sels[i]) * weights_n;
-            if pos >= gpv_bits {
-                continue;
-            }
-            if gpv.bit(pos) {
-                sum += ws[i];
-            } else {
-                sum -= ws[i];
-            }
-        }
+        let sum = weight_sum(ws, sels, gpv.raw(), gpv_bits);
         let predicted_taken = sum >= 0;
         let adjust = predicted_taken != resolved.is_taken() || sum.abs() <= theta;
         if !adjust {
             self.stats.theta_skips += 1;
         }
         if adjust {
-            for i in 0..weights_n {
-                let pos = i + usize::from(sels[i]) * weights_n;
-                if pos >= gpv_bits {
-                    continue;
-                }
-                let bit = gpv.bit(pos);
-                let delta = match (resolved, bit) {
-                    (Direction::Taken, true) | (Direction::NotTaken, false) => 1,
-                    _ => -1,
-                };
-                ws[i] = (ws[i] + delta).clamp(-wmax, wmax);
+            // +1 where the weight's GPV bit agrees with the outcome, -1
+            // where it disagrees, 0 at a dead position. Weights never
+            // leave [-wmax, wmax], so clamping an unmoved dead weight is
+            // a no-op and the loop needs no per-weight branch.
+            let taken = u64::from(resolved.is_taken());
+            for (i, (w, &sel)) in ws.iter_mut().zip(sels.iter()).enumerate() {
+                let (live, bit) = lane(i, sel, weights_n, gpv.raw(), gpv_bits);
+                let agree = i32::from(bit == taken);
+                *w = (*w + live * (2 * agree - 1)).clamp(-wmax, wmax);
             }
         }
         e.since_sweep += 1;
@@ -337,6 +312,32 @@ impl Perceptron {
     pub fn occupancy(&self) -> usize {
         self.entries.iter().flatten().count()
     }
+}
+
+/// Weight `i`'s GPV position under selector `sel`, as `(live, bit)`:
+/// `live` is 1 when the position lies inside the `live_bits` history
+/// bits and 0 when it falls beyond them (a dead weight), and `bit` is
+/// the history bit there (meaningless when dead).
+#[inline]
+fn lane(i: usize, sel: u8, weights_n: usize, gpv: u64, live_bits: usize) -> (i32, u64) {
+    let pos = i + usize::from(sel) * weights_n;
+    (i32::from(pos < live_bits), (gpv >> (pos & 63)) & 1)
+}
+
+/// The perceptron's dot product: each live weight added where its GPV
+/// bit is 1 and subtracted where it is 0, dead weights masked out
+/// arithmetically rather than skipped by a branch. `live_bits` is the
+/// history width (twice the GPV depth); `gpv` holds no bits above it.
+fn weight_sum(ws: &[i32], sels: &[u8], gpv: u64, live_bits: usize) -> i32 {
+    let n = ws.len();
+    ws.iter()
+        .zip(sels)
+        .enumerate()
+        .map(|(i, (&w, &sel))| {
+            let (live, bit) = lane(i, sel, n, gpv, live_bits);
+            live * (2 * bit as i32 - 1) * w
+        })
+        .sum()
 }
 
 #[cfg(test)]
@@ -556,6 +557,103 @@ mod tests {
             acc > 0.9,
             "perceptron should learn the far correlated bit: {acc:.2} ({correct}/{total})"
         );
+    }
+
+    /// Reference dot product: one branch per weight, dead positions
+    /// skipped.
+    fn reference_sum(ws: &[i32], sels: &[u8], gpv: &Gpv) -> i32 {
+        let n = ws.len();
+        let mut sum = 0;
+        for i in 0..n {
+            let pos = i + usize::from(sels[i]) * n;
+            if pos >= 2 * gpv.depth() {
+                continue;
+            }
+            sum += if gpv.bit(pos) { ws[i] } else { -ws[i] };
+        }
+        sum
+    }
+
+    /// Reference training adjustment: one branch per weight, dead
+    /// positions skipped.
+    fn reference_adjust(ws: &mut [i32], sels: &[u8], gpv: &Gpv, resolved: Direction, wmax: i32) {
+        let n = ws.len();
+        for i in 0..n {
+            let pos = i + usize::from(sels[i]) * n;
+            if pos >= 2 * gpv.depth() {
+                continue;
+            }
+            let delta = if gpv.bit(pos) == resolved.is_taken() { 1 } else { -1 };
+            ws[i] = (ws[i] + delta).clamp(-wmax, wmax);
+        }
+    }
+
+    #[test]
+    fn weight_sum_and_train_match_a_naive_reference() {
+        use rand::{rngs::StdRng, RngCore, RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(23);
+        // 40 weights under 2:1 virtualization reach positions 40..80:
+        // past a 64-bit history, so the shift in `lane` wraps there and
+        // only the live mask keeps those weights out.
+        for weights in [17usize, 40] {
+            for virtualization in [1usize, 2] {
+                for depth in [9usize, 17, 32] {
+                    let cfg = PerceptronConfig {
+                        rows: 1,
+                        ways: 1,
+                        weights,
+                        virtualization,
+                        virtualize_period: 0,
+                        ..z15_config().direction.perceptron.unwrap()
+                    };
+                    let wmax = cfg.weight_max;
+                    let mut p = Perceptron::new(&cfg);
+                    assert!(p.install(ADDR));
+                    let mut dead_seen = false;
+                    for _ in 0..200 {
+                        for (w, s) in p.weights.iter_mut().zip(p.selectors.iter_mut()) {
+                            *w = rng.random_range(-wmax..=wmax);
+                            *s = rng.random_range(0..virtualization) as u8;
+                        }
+                        let (ws, sels) = (p.weights.clone(), p.selectors.clone());
+                        dead_seen |= sels
+                            .iter()
+                            .enumerate()
+                            .any(|(i, &s)| i + usize::from(s) * weights >= 2 * depth);
+                        let gpv = Gpv::from_raw(rng.next_u64(), depth);
+                        let want = reference_sum(&ws, &sels, &gpv);
+                        assert_eq!(weight_sum(&ws, &sels, gpv.raw(), 2 * depth), want);
+                        let hit = p.lookup(ADDR, &gpv).expect("installed");
+                        assert_eq!(hit.sum, want);
+
+                        let resolved = if rng.random_bool(0.5) {
+                            Direction::Taken
+                        } else {
+                            Direction::NotTaken
+                        };
+                        let mut expect = ws.clone();
+                        let adjust =
+                            (want >= 0) != resolved.is_taken() || want.abs() <= cfg.train_theta;
+                        if adjust {
+                            reference_adjust(&mut expect, &sels, &gpv, resolved, wmax);
+                        }
+                        let skips = p.stats.theta_skips;
+                        p.train(hit.row, hit.way, &gpv, resolved);
+                        assert_eq!(
+                            p.weights, expect,
+                            "{weights} weights, v{virtualization}, depth {depth}"
+                        );
+                        assert_eq!(p.stats.theta_skips - skips, u64::from(!adjust));
+                        assert!(p.weights.iter().all(|w| (-wmax..=wmax).contains(w)));
+                    }
+                    assert_eq!(
+                        dead_seen,
+                        weights * virtualization > 2 * depth,
+                        "dead positions occur exactly when the weights outreach the history"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

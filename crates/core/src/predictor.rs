@@ -19,7 +19,7 @@ use crate::btb1::{Btb1, InstallOutcome};
 use crate::btb2::Btb2;
 use crate::btbp::Btbp;
 use crate::config::{InclusionPolicy, PredictorConfig};
-use crate::cpred::{Cpred, PowerMask};
+use crate::cpred::{Cpred, CpredSlot, PowerMask};
 use crate::crs::Crs;
 use crate::ctb::Ctb;
 use crate::direction::{DirectionDecision, DirectionProvider};
@@ -66,6 +66,10 @@ struct ThreadCtx {
     gpq: VecDeque<Inflight>,
     /// Start address of the current prediction stream.
     stream_start: InstrAddr,
+    /// The current stream's CPRED slot, computed once on entry and
+    /// reused for its lookup and its exit training (`None` without a
+    /// CPRED).
+    stream_slot: Option<CpredSlot>,
     /// The power mask applied to the current stream.
     stream_power: PowerMask,
     /// Actual auxiliary needs observed in the current stream.
@@ -73,9 +77,9 @@ struct ThreadCtx {
     /// The power prediction (for the *next* stream) produced by the
     /// CPRED lookup at the current stream's entry.
     next_stream_power: Option<PowerMask>,
-    /// The previous stream's start (its CPRED entry learns the current
+    /// The previous stream's CPRED slot (its entry learns the current
     /// stream's power needs when the current stream ends).
-    prev_stream_start: Option<InstrAddr>,
+    prev_stream_slot: Option<CpredSlot>,
     /// Set when a surprise-taken branch redirected the pipeline to an
     /// address the functional model does not know; the next prediction
     /// re-anchors the stream.
@@ -92,10 +96,11 @@ impl ThreadCtx {
             arch_gpv: Gpv::new(gpv_depth),
             gpq: VecDeque::new(),
             stream_start: InstrAddr::new(0),
+            stream_slot: None,
             stream_power: PowerMask::ALL_ON,
             stream_needs: PowerMask::ALL_OFF,
             next_stream_power: None,
-            prev_stream_start: None,
+            prev_stream_slot: None,
             stream_reset_pending: true,
             last_completed_taken: None,
         }
@@ -445,7 +450,7 @@ impl ZPredictor {
         }
         for ctx in &mut self.threads {
             ctx.next_stream_power = None;
-            ctx.prev_stream_start = None;
+            ctx.prev_stream_slot = None;
             ctx.last_completed_taken = None;
             ctx.stream_reset_pending = true;
         }
@@ -580,21 +585,17 @@ impl ZPredictor {
         let searches = (taken_branch.raw() / line)
             .saturating_sub(self.threads[t].stream_start.raw() / line)
             + 1;
-        if let Some(cp) = &mut self.cpred {
+        let ctx = &self.threads[t];
+        if let (Some(cp), Some(slot)) = (&mut self.cpred, ctx.stream_slot) {
             let redirect = if cp.with_skoot() && skoot_lines > 0 {
                 target.advance_lines64(skoot_lines)
             } else {
                 target
             };
-            cp.train_exit(
-                self.threads[t].stream_start,
-                searches.min(255) as u8,
-                way.min(255) as u8,
-                redirect,
-            );
+            cp.train_exit_at(slot, searches.min(255) as u8, way.min(255) as u8, redirect);
             // The previous stream's entry learns this stream's needs.
-            if let Some(prev) = self.threads[t].prev_stream_start {
-                cp.train_power(prev, self.threads[t].stream_needs);
+            if let Some(prev) = ctx.prev_stream_slot {
+                cp.train_power_at(prev, ctx.stream_needs);
             }
         }
         if skoot_lines > 0 {
@@ -602,7 +603,7 @@ impl ZPredictor {
             self.tel.count("skoot.skips", 1);
             self.tel.count("skoot.lines_skipped", skoot_lines);
         }
-        self.threads[t].prev_stream_start = Some(self.threads[t].stream_start);
+        self.threads[t].prev_stream_slot = self.threads[t].stream_slot;
         self.enter_stream(t, target);
     }
 
@@ -618,7 +619,9 @@ impl ZPredictor {
             self.stats.gated_streams += 1;
         }
         if let Some(cp) = &mut self.cpred {
-            let looked = cp.lookup(start);
+            let slot = cp.slot(start);
+            self.threads[t].stream_slot = Some(slot);
+            let looked = cp.lookup_at(slot);
             #[cfg(feature = "verify")]
             if let Some(p) = &looked {
                 // Column-hint consistency: a trained hint must name a
@@ -1150,7 +1153,7 @@ impl ZPredictor {
         // The pipeline restarts at the corrected address; re-anchor the
         // stream there.
         self.threads[t].next_stream_power = None;
-        self.threads[t].prev_stream_start = None;
+        self.threads[t].prev_stream_slot = None;
         self.threads[t].stream_reset_pending = false;
         self.enter_stream(t, rec.next_pc());
         if V::OBSERVED {
@@ -1327,31 +1330,35 @@ impl ZPredictor {
     /// CRS completion machinery, run for *every* completed resolved-taken
     /// branch (dynamic or surprise, §VI): amnesty check first (it probes
     /// the detect stack non-destructively), then detection (which may
-    /// consume the stack). The CRS is temporarily taken out of self so
-    /// BTB1 updates and event emission can proceed alongside it.
+    /// consume the stack). The CRS is trained in place; the events go
+    /// out once that borrow ends, amnesty first.
     fn complete_crs(&mut self, t: usize, rec: &BranchRecord, info: &Inflight) {
-        let Some(mut crs) = self.crs.take() else { return };
-        if rec.taken {
-            let was_wrong_target = info.dynamic
-                && info.tgt.is_some_and(|td| info.dir.dir.is_taken() && td.target != rec.target);
-            if was_wrong_target {
-                let blacklisted =
-                    self.btb1.probe(rec.addr).map(|(_, e)| e.crs_blacklisted).unwrap_or(false);
-                if blacklisted {
-                    let still_pairs = crs.detect_stack_matches(t, rec.target);
-                    if crs.amnesty_due(still_pairs) {
-                        self.btb1.update(rec.addr, |e| e.crs_blacklisted = false);
-                        self.emit(BplEvent::CrsAmnesty { addr: rec.addr });
-                    }
+        if !rec.taken {
+            return;
+        }
+        let Some(crs) = self.crs.as_mut() else { return };
+        let mut amnesty = false;
+        let was_wrong_target = info.dynamic
+            && info.tgt.is_some_and(|td| info.dir.dir.is_taken() && td.target != rec.target);
+        if was_wrong_target {
+            let blacklisted =
+                self.btb1.probe(rec.addr).map(|(_, e)| e.crs_blacklisted).unwrap_or(false);
+            if blacklisted {
+                let still_pairs = crs.detect_stack_matches(t, rec.target);
+                if crs.amnesty_due(still_pairs) {
+                    self.btb1.update(rec.addr, |e| e.crs_blacklisted = false);
+                    amnesty = true;
                 }
             }
-            if let Some(off) = crs.note_completed_taken(t, rec.addr, rec.target, rec.fall_through())
-            {
-                self.btb1.update(rec.addr, |e| e.return_offset = Some(off));
-                self.emit(BplEvent::CrsDetect { addr: rec.addr, offset: off });
-            }
         }
-        self.crs = Some(crs);
+        let detected = crs.note_completed_taken(t, rec.addr, rec.target, rec.fall_through());
+        if amnesty {
+            self.emit(BplEvent::CrsAmnesty { addr: rec.addr });
+        }
+        if let Some(off) = detected {
+            self.btb1.update(rec.addr, |e| e.return_offset = Some(off));
+            self.emit(BplEvent::CrsDetect { addr: rec.addr, offset: off });
+        }
     }
 
     /// Completion-time handling for a surprise branch: install policy
@@ -1620,8 +1627,10 @@ mod tests {
         assert!(pr.is_taken());
         assert_ne!(p.structures().gpv.raw(), 0);
         let spec_before = p.structures().gpv.raw();
+        assert!(p.threads[0].prev_stream_slot.is_some(), "the taken branch ended a stream");
         p.resolve(&r1, &pr);
         p.flush(&r1);
+        assert!(p.threads[0].prev_stream_slot.is_none(), "a flush forgets the predecessor");
         // After the flush spec == arch: exactly the two completed
         // taken pushes.
         let _ = spec_before;
@@ -1878,7 +1887,7 @@ mod tests {
         for ctx in &p.threads {
             assert!(ctx.stream_reset_pending, "streams re-anchor in the new context");
             assert!(ctx.next_stream_power.is_none());
-            assert!(ctx.prev_stream_start.is_none());
+            assert!(ctx.prev_stream_slot.is_none());
             assert!(ctx.last_completed_taken.is_none());
         }
     }

@@ -199,9 +199,7 @@ pub fn branch_gpv_bits(addr: InstrAddr) -> u8 {
 pub fn lru_touch(ranks: &mut [u8], way: usize) {
     let old = ranks.get(way).copied().expect("way within row");
     for r in ranks.iter_mut() {
-        if *r < old {
-            *r += 1;
-        }
+        *r += u8::from(*r < old);
     }
     if let Some(r) = ranks.get_mut(way) {
         *r = 0;
@@ -424,12 +422,12 @@ mod tests {
         // The struct-of-arrays tables rely on the flat helpers being
         // exactly LruRow: drive both with the same touch sequence and
         // compare victim and ranks at every step.
-        for ways in [1usize, 3, 4, 8] {
+        for ways in [1usize, 2, 3, 4, 8, 16] {
             let mut row = LruRow::new(ways);
             let mut flat: Vec<u8> = lru_fresh_ranks(ways).collect();
             assert_eq!(lru_victim(&flat), row.lru(), "fresh victim, {ways} ways");
             let mut x = 0x1234_5678u64;
-            for _ in 0..64 {
+            for _ in 0..256 {
                 // Deterministic pseudo-random touch sequence.
                 x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
                 let w = (x >> 33) as usize % ways;
